@@ -15,13 +15,21 @@ algorithm and finish with plain selection.
 
 With an exact trimmer the returned answer is an exact φ-quantile; with an
 ε-lossy trimmer it is a (φ ± ε)-quantile (Lemmas 3.3 and 3.6).
+
+The loop itself (:func:`run_pivoting`) only sees a :class:`CandidateSet`:
+something that can split an interval's candidates at a pivot and
+materialize a terminal interval.  :class:`LocalCandidates` keeps the
+candidates in this process as trimmed (query, database) pairs; the sharded
+path (:class:`repro.parallel.merger.RankMerger`) keeps them across worker
+processes and sums their counts.  Both run the same loop.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, MutableMapping
 from dataclasses import dataclass
-from typing import Any, MutableMapping
+from typing import Any, Protocol
 
 from repro.data.database import Database
 from repro.exceptions import EmptyResultError, SolverError, ValidationError
@@ -69,28 +77,243 @@ def phi_for_index(index: int, total: int) -> float:
     return (index + 0.5) / total
 
 
-@dataclass
+class CappedCache(dict[Any, Any]):
+    """A dict that silently stops accepting new keys past a size limit.
+
+    Bounds the memory held by the interval-keyed step and answer caches;
+    existing entries keep being served, and overwriting an existing key is
+    always allowed.
+    """
+
+    def __init__(self, limit: int) -> None:
+        super().__init__()
+        self.limit = limit
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        if len(self) >= self.limit and key not in self:
+            return
+        super().__setitem__(key, value)
+
+
+@dataclass(frozen=True)
 class PivotStep:
     """Memoized outcome of one pivoting iteration for a candidate interval.
 
-    The pivoting loop is deterministic given the (canonical) base query,
-    database, ranking, and trimmer: the same candidate interval always yields
-    the same pivot, the same trimmed sub-databases, and the same partition
+    The pivoting loop is deterministic given the candidate set: the same
+    candidate interval always yields the same pivot and the same partition
     counts.  A :class:`PreparedQuery` therefore shares a ``{interval:
     PivotStep}`` cache across φ values — repeated quantile queries reuse the
     expensive early iterations (which scan the full database) and only pay
     for the suffix of the search path where their target ranks diverge.
+
+    ``lt`` and ``gt`` are opaque handles on the two partitions, meaningful
+    only to the :class:`CandidateSet` that produced the step.
     """
 
     pivot_assignment: Assignment
     pivot_weight: Any
     pivot_c: float
-    lt_query: JoinQuery
-    lt_db: Database
     count_lt: int
-    gt_query: JoinQuery
-    gt_db: Database
     count_gt: int
+    lt: Any
+    gt: Any
+
+
+class CandidateSet(Protocol):
+    """Where the candidate answers of the pivoting loop live.
+
+    A *handle* names the candidates inside one weight interval; the loop
+    starts from a root handle holding every answer and only ever passes
+    back handles this set returned in a :class:`PivotStep`.
+    """
+
+    def split(self, interval: WeightInterval, handle: Any) -> PivotStep:
+        """Select a c-pivot among ``handle``'s candidates and count the
+        candidates of ``interval`` strictly below and above its weight."""
+        ...
+
+    def terminal(self, interval: WeightInterval, handle: Any) -> list[Any]:
+        """Materialize ``handle``'s candidates, sorted by weight."""
+        ...
+
+    def pick(self, answers: list[Any], position: int) -> tuple[Any, Assignment]:
+        """The ``(weight, assignment)`` at ``position`` of :meth:`terminal`'s list."""
+        ...
+
+
+def run_pivoting(
+    candidates: CandidateSet,
+    root: Any,
+    total: int,
+    variables: Iterable[str],
+    termination_size: int,
+    phi: float | None = None,
+    index: int | None = None,
+    strategy: str = "exact-pivot",
+    exact: bool = True,
+    epsilon: float | None = None,
+    max_iterations: int | None = None,
+    pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
+    answer_cache: MutableMapping[WeightInterval, list[Any]] | None = None,
+) -> QuantileResult:
+    """Algorithm 1 over any :class:`CandidateSet`.
+
+    ``root`` is the handle on all ``total`` answers.  Each iteration splits
+    the current interval at a pivot and continues in the partition holding
+    the target rank, until the rank falls on the pivot's weight or at most
+    ``termination_size`` candidates remain, which are then materialized and
+    selected from.  The returned assignment is projected onto
+    ``variables``.  See :func:`pivoting_quantile` for the caches and
+    ``max_iterations``.
+    """
+    if (phi is None) == (index is None):
+        raise ValidationError("exactly one of phi and index must be provided")
+    if total == 0:
+        raise EmptyResultError("the query has no answers, so no quantile exists")
+    if index is not None:
+        if not 0 <= index < total:
+            raise ValidationError(f"index {index} out of range [0, {total})")
+        target = index
+    else:
+        target = target_index_for(phi, total)  # type: ignore[arg-type]
+    keep = set(variables)
+    stats: list[IterationStats] = []
+
+    def result(weight: Any, assignment: Assignment) -> QuantileResult:
+        return QuantileResult(
+            # Drop helper variables introduced by canonicalization or trimming.
+            assignment={v: value for v, value in assignment.items() if v in keep},
+            weight=weight,
+            target_index=target,
+            total_answers=total,
+            strategy=strategy,
+            exact=exact,
+            epsilon=epsilon,
+            iterations=len(stats),
+            stats=tuple(stats),
+        )
+
+    interval = WeightInterval()
+    handle = root
+    current_count = total
+    # Invariant: 0 <= remaining_index < current_count.  Both branches below
+    # keep it whatever counts the candidate set reports, so the partition
+    # the search continues in is never empty.
+    remaining_index = target
+    iteration_cap = max_iterations if max_iterations is not None else 0
+
+    while current_count > termination_size:
+        checkpoint("quantile.iteration")
+        step = pivot_cache.get(interval) if pivot_cache is not None else None
+        if step is None:
+            step = candidates.split(interval, handle)
+            if pivot_cache is not None:
+                pivot_cache[interval] = step
+        if iteration_cap == 0:
+            # Derive a generous cap from the guaranteed elimination fraction.
+            c = max(step.pivot_c, 1e-3)
+            iteration_cap = int(math.ceil(math.log(max(total, 2)) / -math.log(1 - c))) + 20
+        if len(stats) >= iteration_cap:
+            raise SolverError(
+                f"pivoting did not converge within {iteration_cap} iterations; "
+                "this indicates an inconsistent trimmer"
+            )
+        count_lt, count_gt = step.count_lt, step.count_gt
+        count_eq = max(0, current_count - count_lt - count_gt)
+
+        if remaining_index < count_lt:
+            chosen = "lt"
+            interval = interval.with_high(step.pivot_weight, strict=True)
+            handle = step.lt
+            current_count = count_lt
+        elif remaining_index < count_lt + count_eq:
+            chosen = "eq"
+        else:
+            chosen = "gt"
+            remaining_index -= count_lt + count_eq
+            interval = interval.with_low(step.pivot_weight, strict=True)
+            handle = step.gt
+            current_count = count_gt
+        stats.append(
+            IterationStats(
+                pivot_weight=step.pivot_weight,
+                c=step.pivot_c,
+                count_lt=count_lt,
+                count_eq=count_eq,
+                count_gt=count_gt,
+                candidate_count=count_eq if chosen == "eq" else current_count,
+                chosen=chosen,
+            )
+        )
+        if chosen == "eq":
+            return result(step.pivot_weight, step.pivot_assignment)
+
+    # Materialize the remaining candidates and finish with plain selection.
+    # The sorted candidate list of a terminal interval is shared across calls
+    # through answer_cache (calls whose targets land in the same interval pay
+    # the materialize-and-sort once).
+    answers = answer_cache.get(interval) if answer_cache is not None else None
+    if answers is None:
+        answers = candidates.terminal(interval, handle)
+        if not answers:
+            raise SolverError("no candidate answers remained to materialize")
+        if answer_cache is not None:
+            answer_cache[interval] = answers
+    # A lossy trimmer may have dropped answers: clamp to the last survivor.
+    return result(*candidates.pick(answers, min(remaining_index, len(answers) - 1)))
+
+
+@dataclass(frozen=True)
+class LocalCandidates:
+    """The candidates of one process: handles are ``(query, database)`` pairs.
+
+    Every partition is trimmed from the (canonical, possibly semijoin-
+    reduced) base restricted to the full accumulated interval: re-applying a
+    trimmer to its own output would compound the copy factors of the
+    segment/partition constructions (and, for lossy trimmers, the answer
+    loss).  ``tree_cache`` shares one materialized tree per pair between its
+    counting pass, the next pivot selection and terminal enumeration.
+    """
+
+    base_query: JoinQuery
+    base_db: Database
+    ranking: RankingFunction
+    trimmer: Trimmer
+    tree_cache: TreeCache
+
+    def split(self, interval: WeightInterval, handle: Any) -> PivotStep:
+        query, db = handle
+        trees = self.tree_cache
+        pivot = select_pivot(query, db, self.ranking, tree=trees.get(query, db))
+        lt = self.trimmer.trim_interval(
+            self.base_query, self.base_db, interval.with_high(pivot.weight, strict=True)
+        )
+        gt = self.trimmer.trim_interval(
+            self.base_query, self.base_db, interval.with_low(pivot.weight, strict=True)
+        )
+        return PivotStep(
+            pivot_assignment=pivot.assignment,
+            pivot_weight=pivot.weight,
+            pivot_c=pivot.c,
+            count_lt=count_answers(
+                lt.query, lt.database, tree=trees.get(lt.query, lt.database)
+            ),
+            count_gt=count_answers(
+                gt.query, gt.database, tree=trees.get(gt.query, gt.database)
+            ),
+            lt=(lt.query, lt.database),
+            gt=(gt.query, gt.database),
+        )
+
+    def terminal(self, interval: WeightInterval, handle: Any) -> list[Any]:
+        query, db = handle
+        answers = evaluate(query, db, tree=self.tree_cache.get(query, db))
+        answers.sort(key=self.ranking.weight_of)
+        return answers
+
+    def pick(self, answers: list[Any], position: int) -> tuple[Any, Assignment]:
+        answer = answers[position]
+        return self.ranking.weight_of(answer), answer
 
 
 def pivoting_quantile(
@@ -106,7 +329,7 @@ def pivoting_quantile(
     strategy_name: str | None = None,
     total: int | None = None,
     pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
-    answer_cache: MutableMapping[WeightInterval, list] | None = None,
+    answer_cache: MutableMapping[WeightInterval, list[Any]] | None = None,
     tree_cache: TreeCache | None = None,
 ) -> QuantileResult:
     """Run Algorithm 1 and return the requested (approximate) quantile.
@@ -144,179 +367,29 @@ def pivoting_quantile(
         one materialized tree per (query, database) pair instead of each
         rebuilding it.
     """
-    if (phi is None) == (index is None):
-        raise ValidationError("exactly one of phi and index must be provided")
     ranking.validate_for(query.variables)
-    original_variables = set(query.variables)
     base_query, base_db = ensure_canonical(query, db)
     if tree_cache is None:
         # Even a one-shot call profits: the tree of each candidate pair is
         # shared between its counting pass and the next pivot selection.
         tree_cache = TreeCache()
-
     if total is None:
         total = count_answers(
             base_query, base_db, tree=tree_cache.get(base_query, base_db)
         )
-    if total == 0:
-        raise EmptyResultError("the query has no answers, so no quantile exists")
-    if index is not None:
-        if not 0 <= index < total:
-            raise ValidationError(f"index {index} out of range [0, {total})")
-        target = index
-    else:
-        target = target_index_for(phi, total)  # type: ignore[arg-type]
-
     exact = not trimmer.lossy
-    strategy = strategy_name or ("exact-pivot" if exact else "approx-pivot")
-    if termination_size is None:
-        termination_size = max(base_db.size, 1)
-
-    interval = WeightInterval()
-    current_query, current_db = base_query, base_db
-    current_count = total
-    remaining_index = target
-    stats: list[IterationStats] = []
-    iteration_cap = max_iterations if max_iterations is not None else 0
-
-    while current_count > termination_size:
-        checkpoint("quantile.iteration")
-        step = pivot_cache.get(interval) if pivot_cache is not None else None
-        if step is None:
-            pivot = select_pivot(
-                current_query,
-                current_db,
-                ranking,
-                tree=tree_cache.get(current_query, current_db),
-            )
-            # Trims always restart from the (canonical, possibly semijoin-
-            # reduced) base: re-applying a trimmer to its own output would
-            # compound the copy factors of the segment/partition
-            # constructions (and, for lossy trimmers, the answer loss).
-            lt = trimmer.trim_interval(
-                base_query, base_db, interval.with_high(pivot.weight, strict=True)
-            )
-            gt = trimmer.trim_interval(
-                base_query, base_db, interval.with_low(pivot.weight, strict=True)
-            )
-            step = PivotStep(
-                pivot_assignment=pivot.assignment,
-                pivot_weight=pivot.weight,
-                pivot_c=pivot.c,
-                lt_query=lt.query,
-                lt_db=lt.database,
-                count_lt=count_answers(
-                    lt.query, lt.database, tree=tree_cache.get(lt.query, lt.database)
-                ),
-                gt_query=gt.query,
-                gt_db=gt.database,
-                count_gt=count_answers(
-                    gt.query, gt.database, tree=tree_cache.get(gt.query, gt.database)
-                ),
-            )
-            if pivot_cache is not None:
-                pivot_cache[interval] = step
-        if iteration_cap == 0:
-            # Derive a generous cap from the guaranteed elimination fraction.
-            c = max(step.pivot_c, 1e-3)
-            iteration_cap = int(math.ceil(math.log(max(total, 2)) / -math.log(1 - c))) + 20
-        if len(stats) >= iteration_cap:
-            raise SolverError(
-                f"pivoting did not converge within {iteration_cap} iterations; "
-                "this indicates an inconsistent trimmer"
-            )
-        pivot_weight = step.pivot_weight
-        count_lt, count_gt = step.count_lt, step.count_gt
-        count_eq = max(0, current_count - count_lt - count_gt)
-
-        if remaining_index < count_lt:
-            chosen = "lt"
-            interval = interval.with_high(pivot_weight, strict=True)
-            current_query, current_db = step.lt_query, step.lt_db
-            current_count = count_lt
-        elif remaining_index < count_lt + count_eq:
-            chosen = "eq"
-        else:
-            chosen = "gt"
-            remaining_index -= count_lt + count_eq
-            interval = interval.with_low(pivot_weight, strict=True)
-            current_query, current_db = step.gt_query, step.gt_db
-            current_count = count_gt
-        stats.append(
-            IterationStats(
-                pivot_weight=pivot_weight,
-                c=step.pivot_c,
-                count_lt=count_lt,
-                count_eq=count_eq,
-                count_gt=count_gt,
-                candidate_count=count_eq if chosen == "eq" else current_count,
-                chosen=chosen,
-            )
-        )
-        if chosen == "eq":
-            assignment = _project(step.pivot_assignment, original_variables)
-            return QuantileResult(
-                assignment=assignment,
-                weight=pivot_weight,
-                target_index=target,
-                total_answers=total,
-                strategy=strategy,
-                exact=exact,
-                epsilon=epsilon,
-                iterations=len(stats),
-                stats=tuple(stats),
-            )
-        if current_count == 0:
-            # Can happen with lossy trims (all candidates lost) or when the
-            # remaining candidates all share the pivot weight; fall back to
-            # returning the pivot, whose position error is already bounded.
-            assignment = _project(step.pivot_assignment, original_variables)
-            return QuantileResult(
-                assignment=assignment,
-                weight=pivot_weight,
-                target_index=target,
-                total_answers=total,
-                strategy=strategy,
-                exact=exact,
-                epsilon=epsilon,
-                iterations=len(stats),
-                stats=tuple(stats),
-            )
-
-    # Materialize the remaining candidates and finish with plain selection.
-    # The sorted candidate list of a terminal interval is shared across calls
-    # through answer_cache (calls whose targets land in the same interval pay
-    # the evaluate-and-sort once).
-    answers = answer_cache.get(interval) if answer_cache is not None else None
-    if answers is None:
-        answers = evaluate(
-            current_query,
-            current_db,
-            tree=tree_cache.get(current_query, current_db),
-        )
-        if not answers:
-            raise SolverError("no candidate answers remained to materialize")
-        answers.sort(key=ranking.weight_of)
-        if answer_cache is not None:
-            answer_cache[interval] = answers
-    position = min(remaining_index, len(answers) - 1)
-    chosen_answer = answers[position]
-    assignment = _project(chosen_answer, original_variables)
-    return QuantileResult(
-        assignment=assignment,
-        weight=ranking.weight_of(chosen_answer),
-        target_index=target,
-        total_answers=total,
-        strategy=strategy,
+    return run_pivoting(
+        LocalCandidates(base_query, base_db, ranking, trimmer, tree_cache),
+        (base_query, base_db),
+        total,
+        query.variables,
+        max(base_db.size, 1) if termination_size is None else termination_size,
+        phi=phi,
+        index=index,
+        strategy=strategy_name or ("exact-pivot" if exact else "approx-pivot"),
         exact=exact,
         epsilon=epsilon,
-        iterations=len(stats),
-        stats=tuple(stats),
+        max_iterations=max_iterations,
+        pivot_cache=pivot_cache,
+        answer_cache=answer_cache,
     )
-
-
-def _project(assignment: Assignment, variables: set[str]) -> Assignment:
-    """Drop helper variables introduced by canonicalization or trimming."""
-    return {
-        variable: value for variable, value in assignment.items() if variable in variables
-    }

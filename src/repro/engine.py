@@ -39,7 +39,12 @@ from typing import Any
 from repro.approx.lossy_sum_trim import LossySumTrimmer
 from repro.approx.randomized import sampling_quantile
 from repro.baselines.materialize import select_from_sorted, sorted_answers
-from repro.core.quantile import phi_for_index, pivoting_quantile, target_index_for
+from repro.core.quantile import (
+    CappedCache,
+    phi_for_index,
+    pivoting_quantile,
+    target_index_for,
+)
 from repro.core.result import QuantileResult
 from repro.data.database import Database
 from repro.exceptions import (
@@ -54,7 +59,7 @@ from repro.exceptions import (
     WorkerPoolClosedError,
 )
 from repro.joins.counting import count_from_tree
-from repro.joins.tree_cache import TreeCache
+from repro.joins.tree_cache import TreeCache, database_fingerprint
 from repro.joins.yannakakis import full_reduce
 from repro.parallel.merger import ParallelSession, RankMerger
 from repro.parallel.planner import ShardPlan, ShardPlanner, resolve_shard_count
@@ -68,15 +73,12 @@ from repro.query.join_tree import RootedJoinTree, build_join_tree
 from repro.query.parser import parse_ranking
 from repro.query.rewrite import ensure_canonical
 from repro.ranking.base import RankingFunction
-from repro.ranking.lex import LexRanking
-from repro.ranking.minmax import MaxRanking, MinRanking
+from repro.ranking.minmax import MinRanking
 from repro.ranking.sum import SumRanking
 from repro.runtime import CancellationToken, ExecutionContext, checkpoint
 from repro.runtime.policy import degradation_ladder, validate_policy
+from repro.trim import exact_trimmer_for
 from repro.trim.base import Trimmer
-from repro.trim.lex_trim import LexTrimmer
-from repro.trim.minmax_trim import MinMaxTrimmer
-from repro.trim.sum_adjacent_trim import SumAdjacentTrimmer
 
 #: Strategy identifiers accepted by the engine and the legacy solver facade.
 STRATEGIES = ("auto", "exact-pivot", "approx-pivot", "sampling", "materialize")
@@ -89,6 +91,11 @@ DEFAULT_PIVOT_CACHE_LIMIT = 256
 #: ``termination_factor x |D|`` materialized answers, so this bound — not the
 #: pivot cache's — dominates the engine's memory ceiling.
 DEFAULT_ANSWER_CACHE_LIMIT = 32
+
+#: Key of the sharded path's step and answer caches in the per-strategy cache
+#: maps: its steps hold per-shard counts, not trimmed sub-databases, so they
+#: must never be served to the serial exact-pivot loop (or vice versa).
+_SHARDED = "exact-pivot/sharded"
 
 #: Sentinel distinguishing "knob not passed" from an explicit ``None``
 #: (which disables an engine-wide default budget for one prepared query).
@@ -113,24 +120,6 @@ class SolverPlan:
     strategy: str
     classification: SumClassification
     reason: str
-
-
-class _CappedCache(dict):
-    """A dict that silently stops accepting new keys past a size limit.
-
-    Bounds the memory held by the pivot cache (each entry keeps two trimmed
-    sub-databases); existing entries keep being served, and overwriting an
-    existing key is always allowed.
-    """
-
-    def __init__(self, limit: int) -> None:
-        super().__init__()
-        self.limit = limit
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        if len(self) >= self.limit and key not in self:
-            return
-        super().__setitem__(key, value)
 
 
 class PreparedQuery:
@@ -160,7 +149,7 @@ class PreparedQuery:
         Seed for the randomized sampling strategy.
     pivot_cache_limit:
         Maximum number of memoized pivoting iterations (0 disables the
-        cache).
+        pivot and answer caches, on the serial and the sharded path).
     termination_factor:
         The pivoting loop materializes-and-selects once at most
         ``termination_factor × |D|`` candidates remain (Algorithm 1 uses
@@ -255,8 +244,8 @@ class PreparedQuery:
         # partition counts differ for the same interval).
         self._trimmers: dict[str, Trimmer] = {}
         self._pivot_cache_limit = pivot_cache_limit
-        self._pivot_caches: dict[str, _CappedCache] = {}
-        self._answer_caches: dict[str, _CappedCache] = {}
+        self._pivot_caches: dict[str, CappedCache] = {}
+        self._answer_caches: dict[str, CappedCache] = {}
         # One materialized tree per (query, database) pair, shared by
         # counting, reduction, pivot selection, and terminal enumeration
         # across all executions of this prepared query.
@@ -489,44 +478,37 @@ class PreparedQuery:
             if not isinstance(self.ranking, SumRanking):
                 raise SolverError("the approx-pivot strategy only applies to SUM rankings")
             trimmer = LossySumTrimmer(self.ranking, epsilon=self.epsilon / 4.0)
-        elif isinstance(self.ranking, (MinRanking, MaxRanking)):
-            trimmer = MinMaxTrimmer(self.ranking)
-        elif isinstance(self.ranking, LexRanking):
-            trimmer = LexTrimmer(self.ranking)
-        elif isinstance(self.ranking, SumRanking):
-            classification = self.classification()
-            if not classification.is_tractable and self.strategy == "exact-pivot":
-                raise IntractableQueryError(
-                    "exact-pivot was forced but the SUM query is conditionally "
-                    f"intractable: {classification.reason}"
-                )
-            trimmer = SumAdjacentTrimmer(self.ranking)
         else:
-            raise RankingError(
-                f"no exact trimming construction is known for {self.ranking.describe()}"
-            )
+            if isinstance(self.ranking, SumRanking) and self.strategy == "exact-pivot":
+                classification = self.classification()
+                if not classification.is_tractable:
+                    raise IntractableQueryError(
+                        "exact-pivot was forced but the SUM query is conditionally "
+                        f"intractable: {classification.reason}"
+                    )
+            trimmer = exact_trimmer_for(self.ranking)
         self._trimmers[strategy] = trimmer
         return trimmer
 
     def _strategy_caches(
         self, strategy: str
-    ) -> tuple[_CappedCache | None, _CappedCache | None]:
+    ) -> tuple[CappedCache | None, CappedCache | None]:
         """Pivot and answer caches for one strategy (created on first use).
 
         Exact and lossy executions key both caches by candidate weight
         interval, but their entries are not interchangeable — a lossy trim of
         the same interval drops answers an exact trim keeps — so each
-        strategy owns a separate pair.
+        strategy owns a separate pair (and so does the sharded path).
         """
         if self._pivot_cache_limit <= 0:
             return None, None
         with self._state_lock:
             pivot = self._pivot_caches.get(strategy)
             if pivot is None:
-                pivot = self._pivot_caches[strategy] = _CappedCache(
+                pivot = self._pivot_caches[strategy] = CappedCache(
                     self._pivot_cache_limit
                 )
-                self._answer_caches[strategy] = _CappedCache(
+                self._answer_caches[strategy] = CappedCache(
                     min(self._pivot_cache_limit, DEFAULT_ANSWER_CACHE_LIMIT)
                 )
             return pivot, self._answer_caches[strategy]
@@ -539,11 +521,11 @@ class PreparedQuery:
 
         Built at most once per prepared query: the shard plan partitions the
         semijoin-reduced base, a worker session ships/reduces/counts every
-        shard, and the merger caches pivot rounds across φ values exactly
-        like the serial pivot cache.  A failure to start (worker crash,
-        closed pool) permanently disables parallelism for this prepared
-        query — recorded in ``_parallel_note`` — instead of failing the
-        call.
+        shard, and its pivot rounds are cached across φ values like the
+        serial ones (see :meth:`_strategy_caches`).  A failure to start
+        (worker crash, closed pool) permanently disables parallelism for
+        this prepared query — recorded in ``_parallel_note`` — instead of
+        failing the call.
         """
         if self._shard_count < 2 or self._parallel_note is not None:
             return self._parallel_merger
@@ -578,9 +560,7 @@ class PreparedQuery:
                 return None
             self._parallel_plan = plan
             self._parallel_session = session
-            self._parallel_merger = RankMerger(
-                session, step_cache_limit=self._pivot_cache_limit or 1
-            )
+            self._parallel_merger = RankMerger(session)
             return self._parallel_merger
 
     def _disable_parallel(self, note: str) -> None:
@@ -590,6 +570,8 @@ class PreparedQuery:
             self._parallel_session = None
             self._parallel_merger = None
             self._parallel_plan = None
+            self._pivot_caches.pop(_SHARDED, None)
+            self._answer_caches.pop(_SHARDED, None)
             if self._parallel_note is None:
                 self._parallel_note = note
         if session is not None:
@@ -611,9 +593,15 @@ class PreparedQuery:
             return None
         session = merger.session
         termination_size = self.termination_factor * max(session.reduced_rows, 1)
+        pivot_cache, answer_cache = self._strategy_caches(_SHARDED)
         try:
             return merger.solve(
-                phi, index, set(self.query.variables), termination_size
+                phi,
+                index,
+                self.query.variables,
+                termination_size,
+                pivot_cache,
+                answer_cache,
             )
         except WorkerCrashError as crash:
             self._disable_parallel(f"worker crashed: {crash}")
@@ -870,7 +858,9 @@ class Engine:
     (query, ranking, epsilon, strategy, seed) signature — repeated
     ``prepare`` calls for the same workload (the heavy-traffic case the
     ROADMAP targets) return the *same* prepared query, sharing all cached
-    planning state.
+    planning state.  The signature also carries the database fingerprint:
+    after a :meth:`~repro.data.relation.Relation.add`, ``prepare`` builds a
+    fresh prepared query and closes the memoized ones it replaces.
 
     Parameters
     ----------
@@ -913,6 +903,8 @@ class Engine:
         self.on_budget = on_budget
         self.parallel = parallel
         self._prepared: dict[tuple[Any, ...], PreparedQuery] = {}
+        #: Database fingerprint the memo was last used at (see prepare).
+        self._fingerprint = database_fingerprint(db)
         # Guards the prepared-query memo so concurrent prepare() calls for
         # the same signature share one PreparedQuery (and its caches) instead
         # of racing to create two.
@@ -991,6 +983,13 @@ class Engine:
             parallel,
         )
         with self._lock:
+            if key is not None and key[-1] != self._fingerprint:
+                # The database changed (Relation.add) since the memo was
+                # filled: every memoized query caches state of the old
+                # content, so none can ever be served again.
+                self._fingerprint = key[-1]
+                for stale in [k for k in self._prepared if k[-1] != key[-1]]:
+                    self._prepared.pop(stale).close()
             prepared = self._prepared.get(key) if key is not None else None
             if prepared is None:
                 prepared = PreparedQuery(
@@ -1051,6 +1050,8 @@ class Engine:
             # Resolved so parallel="auto" and parallel=<that count> share
             # one prepared query (identical plans, identical results).
             resolve_shard_count(parallel),
+            # Last: prepare() reads it back to drop stale entries.
+            database_fingerprint(self.db),
         )
 
     # ------------------------------------------------------------------ #

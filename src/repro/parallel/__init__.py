@@ -10,19 +10,16 @@ The package splits a φ-quantile computation across K processes:
   shard inside a worker process;
 * :mod:`~repro.parallel.pool` pins shard ``s`` to process lane ``s`` (or
   runs everything inline for deterministic tests);
-* :mod:`~repro.parallel.merger` re-runs Algorithm 1 on the coordinator with
-  every candidate count replaced by its K-way sum — rank counts over
-  disjoint shards are mergeable summaries, so the answer is bit-identical
-  to the serial path.
+* :mod:`~repro.parallel.merger` is the sharded
+  :class:`~repro.core.quantile.CandidateSet`: the one pivoting loop of
+  :mod:`repro.core.quantile` runs on the coordinator, and every candidate
+  count it sees is a K-way sum — rank counts over disjoint shards are
+  mergeable summaries, so the answer is bit-identical to the serial path.
 
 This module must not import :mod:`repro.engine` (the engine imports us).
 """
 
-from repro.parallel.merger import (
-    MergedStep,
-    ParallelSession,
-    RankMerger,
-)
+from repro.parallel.merger import ParallelSession, RankMerger
 from repro.parallel.planner import (
     DEFAULT_BROADCAST_THRESHOLD,
     ShardPlan,
@@ -37,12 +34,11 @@ from repro.parallel.pool import (
     WorkerPool,
     create_pool,
 )
-from repro.parallel.worker import exact_trimmer_for, run_shard_task
+from repro.parallel.worker import run_shard_task
 
 __all__ = [
     "DEFAULT_BROADCAST_THRESHOLD",
     "InlinePool",
-    "MergedStep",
     "PARALLEL_MODE_ENV_VAR",
     "ParallelSession",
     "RankMerger",
@@ -51,7 +47,6 @@ __all__ = [
     "WorkerPool",
     "create_pool",
     "default_shard_count",
-    "exact_trimmer_for",
     "resolve_shard_count",
     "run_shard_task",
     "stable_shard_hash",

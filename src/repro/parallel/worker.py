@@ -24,13 +24,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.core.quantile import CappedCache
 from repro.data.columns import ColumnStore
 from repro.data.database import Database
 from repro.data.relation import Relation
 from repro.exceptions import (
     BudgetExceededError,
     ExecutionCancelledError,
-    RankingError,
     ReproError,
 )
 from repro.joins.counting import count_answers, count_from_tree
@@ -41,14 +41,9 @@ from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
 from repro.query.predicates import WeightInterval
 from repro.ranking.base import RankingFunction
-from repro.ranking.lex import LexRanking
-from repro.ranking.minmax import MaxRanking, MinRanking
-from repro.ranking.sum import SumRanking
 from repro.runtime import ExecutionContext
+from repro.trim import exact_trimmer_for
 from repro.trim.base import Trimmer
-from repro.trim.lex_trim import LexTrimmer
-from repro.trim.minmax_trim import MinMaxTrimmer
-from repro.trim.sum_adjacent_trim import SumAdjacentTrimmer
 
 #: Cap on memoized candidate intervals per shard (mirrors the coordinator's
 #: pivot-cache bound; evicted intervals are recomputed from the base).
@@ -60,20 +55,6 @@ TaskResult = tuple[str, Any, int]
 Candidate = tuple[JoinQuery, Database, int]
 
 
-def exact_trimmer_for(ranking: RankingFunction) -> Trimmer:
-    """The exact trimming construction for a ranking (mirrors the engine's
-    ``exact-pivot`` dispatch; the parallel path only runs exact pivoting)."""
-    if isinstance(ranking, (MinRanking, MaxRanking)):
-        return MinMaxTrimmer(ranking)
-    if isinstance(ranking, LexRanking):
-        return LexTrimmer(ranking)
-    if isinstance(ranking, SumRanking):
-        return SumAdjacentTrimmer(ranking)
-    raise RankingError(
-        f"no exact trimming construction is known for {ranking.describe()}"
-    )
-
-
 @dataclass
 class _ShardState:
     """Everything one worker process keeps for one shard."""
@@ -82,11 +63,11 @@ class _ShardState:
     base_db: Database  # the shard database after full semijoin reduction
     ranking: RankingFunction
     trimmer: Trimmer
-    total: int
     var_order: tuple[str, ...]
     tree_cache: TreeCache = field(default_factory=TreeCache)
-    candidates: dict[WeightInterval, Candidate] = field(default_factory=dict)
-    cache_limit: int = DEFAULT_CANDIDATE_CACHE_LIMIT
+    candidates: CappedCache = field(
+        default_factory=lambda: CappedCache(DEFAULT_CANDIDATE_CACHE_LIMIT)
+    )
 
 
 #: Shard states of this worker process, keyed by the coordinator-assigned id.
@@ -181,7 +162,6 @@ def _init_shard(state_key: int, payload: dict[str, Any]) -> tuple[int, int]:
         base_db=reduced,
         ranking=ranking,
         trimmer=exact_trimmer_for(ranking),
-        total=total,
         var_order=tuple(sorted(query.variables)),
         tree_cache=tree_cache,
     )
@@ -208,8 +188,7 @@ def _candidate(state: _ShardState, interval: WeightInterval) -> Candidate:
         tree=state.tree_cache.get(trimmed.query, trimmed.database),
     )
     entry = (trimmed.query, trimmed.database, count)
-    if len(state.candidates) < state.cache_limit or interval in state.candidates:
-        state.candidates[interval] = entry
+    state.candidates[interval] = entry
     return entry
 
 
@@ -268,7 +247,6 @@ def _terminal_answers(
 __all__ = [
     "DEFAULT_CANDIDATE_CACHE_LIMIT",
     "TaskResult",
-    "exact_trimmer_for",
     "run_shard_task",
     "crash_for_tests",
 ]

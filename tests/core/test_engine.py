@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.data.database import Database
+from repro.data.relation import Relation
 from repro.engine import Engine, PreparedQuery, SolverPlan
 from repro.exceptions import IntractableQueryError, RankingError, SolverError
 from repro.query.join_query import JoinQuery
@@ -55,6 +57,30 @@ class TestPrepare:
         engine.prepare(query, SumRanking(["x1", "x3"]))
         engine.clear()
         assert engine.prepared_count == 0
+
+    def test_prepare_after_append_does_not_answer_stale(self, monkeypatch):
+        # Regression: the memo ignored the database version, so a prepare
+        # after Relation.add returned the old prepared query (and its old
+        # count and quantiles).
+        monkeypatch.setenv("REPRO_PARALLEL_MODE", "inline")
+        r = Relation("R", ("x1", "x2"), [(i, i % 3) for i in range(10)])
+        s = Relation("S", ("x2", "x3"), [(i % 3, i) for i in range(10)])
+        engine = Engine(Database([r, s]))
+        spec = ("R(x1, x2), S(x2, x3)", "max(x1, x3)")
+        before = engine.prepare(*spec)
+        sharded_before = engine.prepare(*spec, parallel=2)
+        assert sharded_before.shards == 2
+        old_count = before.count()
+        for i in range(10):
+            r.add((10 + i, i % 3))
+        after = engine.prepare(*spec)
+        fresh = Engine(Database([r, s])).prepare(*spec)
+        assert after is not before
+        assert after.count() == fresh.count() > old_count
+        assert after.quantile(0.9).weight == fresh.quantile(0.9).weight
+        # The stale entries left the memo and released their worker pools.
+        assert engine.prepared_count == 1
+        assert sharded_before.shards is None
 
     def test_eager_prepare_raises_planning_errors(self, three_path):
         query, db = three_path

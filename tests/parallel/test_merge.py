@@ -9,10 +9,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.baselines import materialize_quantile
+from repro.core.quantile import LocalCandidates
 from repro.data.database import Database
 from repro.data.relation import Relation
-from repro.engine import Engine
+from repro.engine import Engine, PreparedQuery
 from repro.kernels import active_backend, set_backend
+from repro.parallel.merger import RankMerger
+from repro.ranking.lex import LexRanking
+from repro.ranking.minmax import MaxRanking, MinRanking
+from repro.ranking.sum import SumRanking
+from repro.workloads.path import path_workload
 
 PHIS = [(i + 1) / 20 for i in range(19)]
 
@@ -191,3 +198,74 @@ class TestSessionLifecycle:
         after = parallel.quantile(0.5)
         assert after.weight == serial.quantile(0.5).weight
         assert not after.degraded  # orderly close is not a degradation
+
+
+RANKINGS = {
+    "min": MinRanking(["x1", "x4"]),
+    "max": MaxRanking(["x1", "x4"]),
+    "lex": LexRanking(["x4", "x1"]),
+    "sum": SumRanking(["x1", "x2", "x3"]),
+}
+
+
+@pytest.fixture(scope="module")
+def family_workload():
+    return path_workload(3, 50, join_domain=5, seed=13)
+
+
+class TestOneLoopBothPaths:
+    @pytest.mark.parametrize("termination_factor", [1, 12])
+    @pytest.mark.parametrize("family", sorted(RANKINGS))
+    def test_every_family_matches_serial(
+        self, inline_mode, family_workload, backend, family, termination_factor
+    ):
+        db, query, ranking = family_workload.db, family_workload.query, RANKINGS[family]
+        serial = PreparedQuery(
+            query, db, ranking, termination_factor=termination_factor
+        )
+        sharded = PreparedQuery(
+            query, db, ranking, termination_factor=termination_factor, parallel=2
+        )
+        phis = PHIS[::2]
+        sharded_batch = sharded.quantiles(phis)
+        assert [result_key(r) for r in sharded_batch] == [
+            result_key(r) for r in serial.quantiles(phis)
+        ]
+        assert sharded.shards == 2
+        assert any(r.iterations for r in sharded_batch)
+
+    @pytest.mark.parametrize("parallel", [None, 2])
+    def test_pivot_cache_limit_zero_disables_both_caches(
+        self, inline_mode, family_workload, monkeypatch, parallel
+    ):
+        db, query, ranking = family_workload.db, family_workload.query, RANKINGS["sum"]
+        prepared = PreparedQuery(
+            query,
+            db,
+            ranking,
+            termination_factor=1,
+            pivot_cache_limit=0,
+            parallel=parallel,
+        )
+        splits = []
+        candidate_set = LocalCandidates if parallel is None else RankMerger
+        original = candidate_set.split
+
+        def counted(self, interval, handle):
+            splits.append(interval)
+            return original(self, interval, handle)
+
+        monkeypatch.setattr(candidate_set, "split", counted)
+        phis = (0.1, 0.3, 0.5, 0.7, 0.9)
+        results = prepared.quantiles(phis)
+        assert prepared.shards == parallel
+        first = len(splits)
+        assert first > 0
+        prepared.quantiles(phis)
+        # Nothing was memoized, so the repeat batch splits just as often.
+        assert len(splits) == 2 * first
+        assert prepared.pivot_cache_size == 0
+        assert not any(prepared._answer_caches.values())
+        for phi, result in zip(phis, results):
+            expected = materialize_quantile(query, db, ranking, phi=phi)
+            assert result_key(result) == result_key(expected)

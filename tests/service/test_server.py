@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
 from repro.engine import Engine
 from repro.exceptions import ExecutionCancelledError
+from repro.runtime.context import set_fault_hook
 from repro.service import (
     QuantileService,
     ServiceClient,
@@ -23,6 +25,69 @@ RANKING = "sum(x1, x2)"
 #: (same shape as tests/runtime/test_degradation.py's three_path recipe).
 DEGRADE_RANKING = "max(x1, x4)"
 DEGRADE_KNOBS = dict(epsilon=0.3, max_rows=1500, on_budget="degrade", seed=7)
+#: Seconds any request thread or gate may take before the test fails.
+JOIN_TIMEOUT = 30.0
+
+
+class ExecutionGate:
+    """Fault hook that holds the first execution at ``engine.execute``.
+
+    The held request keeps its admission slot (and its coalescing key
+    busy) until :meth:`release`, so a burst sent meanwhile deterministically
+    meets a full server — no reliance on thread scheduling.  Later
+    executions pass straight through.
+    """
+
+    def __init__(self) -> None:
+        self.entered = threading.Event()
+        self._release = threading.Event()
+        self._lock = threading.Lock()
+        self._held = False
+
+    def __call__(self, name: str) -> None:
+        if name != "engine.execute":
+            return
+        with self._lock:
+            first, self._held = not self._held, True
+        if first:
+            self.entered.set()
+            assert self._release.wait(JOIN_TIMEOUT), "gate was never released"
+
+    def release(self) -> None:
+        self._release.set()
+
+
+@pytest.fixture()
+def gate():
+    gate = ExecutionGate()
+    previous = set_fault_hook(gate)
+    try:
+        yield gate
+    finally:
+        gate.release()
+        set_fault_hook(previous)
+
+
+def start_threads(count, target, offset=0):
+    threads = [
+        threading.Thread(target=target, args=(offset + i,)) for i in range(count)
+    ]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+def join_all(threads):
+    for thread in threads:
+        thread.join(JOIN_TIMEOUT)
+        assert not thread.is_alive(), "request thread did not finish"
+
+
+def wait_until(condition):
+    deadline = time.monotonic() + JOIN_TIMEOUT
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +267,7 @@ class TestBudgetsAndDegradation:
 
 
 class TestCoalescing:
-    def test_concurrent_identical_requests_coalesce(self, workload):
+    def test_concurrent_identical_requests_coalesce(self, workload, gate):
         svc = QuantileService(ServiceConfig(max_inflight=1, max_queue=16, queue_timeout=10.0))
         svc.pool.register("demo", workload.db)
         handle = ServiceThread(svc).start()
@@ -215,22 +280,25 @@ class TestCoalescing:
                     "demo", QUERY, RANKING, phis=[0.1 * (position + 1)]
                 )
 
-            threads = [threading.Thread(target=issue, args=(i,)) for i in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            # The first request holds the only execution slot (at the gate)
+            # while the other seven arrive and merge into one open batch.
+            threads = start_threads(1, issue)
+            assert gate.entered.wait(JOIN_TIMEOUT)
+            threads += start_threads(7, issue, offset=1)
+            wait_until(lambda: svc.coalescer.requests == 8)
+            gate.release()
+            join_all(threads)
             assert all(r.status == 200 for r in responses)
             stats = client.stats()
-            # With one execution slot and a cold prepare, later arrivals must
-            # have merged: strictly fewer batches than requests.
+            # With one execution slot busy, later arrivals must have merged:
+            # strictly fewer batches than requests.
             assert stats["coalescing"]["batches"] < stats["coalescing"]["requests"]
             assert stats["coalescing"]["max_fan_in"] >= 2
             assert any(r.payload["coalesce_fan_in"] >= 2 for r in responses)
         finally:
             handle.shutdown()
 
-    def test_coalesced_degraded_answers_annotate_fan_in(self, workload):
+    def test_coalesced_degraded_answers_annotate_fan_in(self, workload, gate):
         svc = QuantileService(ServiceConfig(max_inflight=1, max_queue=16, queue_timeout=10.0))
         svc.pool.register("demo", workload.db)
         handle = ServiceThread(svc).start()
@@ -244,11 +312,14 @@ class TestCoalescing:
                     phis=[0.3 + 0.1 * position], **DEGRADE_KNOBS,
                 )
 
-            threads = [threading.Thread(target=issue, args=(i,)) for i in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            # The first request executes (held at the gate); the other three
+            # arrive while it runs, so they merge into the next batch.
+            threads = start_threads(1, issue)
+            assert gate.entered.wait(JOIN_TIMEOUT)
+            threads += start_threads(3, issue, offset=1)
+            wait_until(lambda: svc.coalescer.requests == 4)
+            gate.release()
+            join_all(threads)
             assert all(r.status == 200 for r in responses)
             shared = [r for r in responses if r.payload["coalesce_fan_in"] > 1]
             assert shared, "expected at least one coalesced response"
@@ -264,7 +335,7 @@ class TestCoalescing:
 
 
 class TestShedding:
-    def test_overload_sheds_with_retry_after(self, workload):
+    def test_overload_sheds_with_retry_after(self, workload, gate):
         svc = QuantileService(
             ServiceConfig(max_inflight=1, max_queue=0, queue_timeout=0.2)
         )
@@ -272,35 +343,24 @@ class TestShedding:
         handle = ServiceThread(svc).start()
         try:
             client = ServiceClient.from_url(handle.url)
+            responses = [None] * 8
 
-            # With one slot and no queue, overlapping requests must shed —
-            # but on a warm engine 8 staggered threads can serialize and all
-            # answer 200.  A barrier makes the burst simultaneous, and the
-            # race retries a few times so a lucky serialization cannot flake
-            # the run.
-            statuses = []
-            for attempt in range(5):
-                responses = [None] * 8
-                barrier = threading.Barrier(8)
+            def issue(position):
+                # Distinct seeds defeat coalescing so every request needs
+                # its own slot.
+                responses[position] = client.query(
+                    "demo", QUERY, RANKING, phis=[0.5], seed=position
+                )
 
-                def issue(position):
-                    # Distinct seeds defeat coalescing so every request needs
-                    # its own slot.
-                    barrier.wait()
-                    responses[position] = client.query(
-                        "demo", QUERY, RANKING, phis=[0.5], seed=position + attempt * 8
-                    )
-
-                threads = [
-                    threading.Thread(target=issue, args=(i,)) for i in range(8)
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-                statuses = sorted(r.status for r in responses)
-                if 429 in statuses:
-                    break
+            # With one slot and no queue, requests arriving while the first
+            # one holds the slot (at the gate) must shed.
+            threads = start_threads(1, issue)
+            assert gate.entered.wait(JOIN_TIMEOUT)
+            burst = start_threads(7, issue, offset=1)
+            join_all(burst)
+            gate.release()
+            join_all(threads)
+            statuses = sorted(r.status for r in responses)
             assert 429 in statuses
             assert 200 in statuses  # overload never blanks the service out
             for response in responses:
