@@ -31,7 +31,7 @@ def _materialize_answers(query: JoinQuery, db: Database) -> list[Assignment]:
     algorithms do not), so that it can serve as a fallback strategy.
     """
     try:
-        return evaluate(query, db)
+        return evaluate(query, db).assignments()
     except CyclicQueryError:
         checkpoint("materialize.brute_force")
         return query.answers_brute_force(db)

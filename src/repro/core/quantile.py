@@ -27,15 +27,16 @@ processes and sums their counts.  Both run the same loop.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, MutableMapping
-from dataclasses import dataclass
+from collections.abc import Iterable, MutableMapping, Sized
+from dataclasses import dataclass, field
 from typing import Any, Protocol
 
 from repro.data.database import Database
 from repro.exceptions import EmptyResultError, SolverError, ValidationError
 from repro.joins.counting import count_answers
 from repro.joins.tree_cache import TreeCache
-from repro.joins.yannakakis import evaluate
+from repro.joins.yannakakis import AnswerRows, evaluate
+from repro.kernels import active_backend
 from repro.core.result import IterationStats, QuantileResult
 from repro.pivot.pivot_selection import select_pivot
 from repro.query.join_query import JoinQuery
@@ -107,7 +108,10 @@ class PivotStep:
     for the suffix of the search path where their target ranks diverge.
 
     ``lt`` and ``gt`` are opaque handles on the two partitions, meaningful
-    only to the :class:`CandidateSet` that produced the step.
+    only to the :class:`CandidateSet` that produced the step.  ``stats``
+    holds the loop's diagnostics for each way it left the step: they are
+    immutable, so φ values walking the same cached step share them instead
+    of allocating fresh ones on every call.
     """
 
     pivot_assignment: Assignment
@@ -117,6 +121,9 @@ class PivotStep:
     count_gt: int
     lt: Any
     gt: Any
+    stats: dict[tuple[str, int, int], IterationStats] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
 
 class CandidateSet(Protocol):
@@ -132,12 +139,13 @@ class CandidateSet(Protocol):
         candidates of ``interval`` strictly below and above its weight."""
         ...
 
-    def terminal(self, interval: WeightInterval, handle: Any) -> list[Any]:
-        """Materialize ``handle``'s candidates, sorted by weight."""
+    def terminal(self, interval: WeightInterval, handle: Any) -> Sized:
+        """Materialize ``handle``'s candidates, sorted by weight (ties in a
+        deterministic order)."""
         ...
 
-    def pick(self, answers: list[Any], position: int) -> tuple[Any, Assignment]:
-        """The ``(weight, assignment)`` at ``position`` of :meth:`terminal`'s list."""
+    def pick(self, answers: Any, position: int) -> tuple[Any, Assignment]:
+        """The ``(weight, assignment)`` at ``position`` of :meth:`terminal`'s answers."""
         ...
 
 
@@ -154,7 +162,7 @@ def run_pivoting(
     epsilon: float | None = None,
     max_iterations: int | None = None,
     pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
-    answer_cache: MutableMapping[WeightInterval, list[Any]] | None = None,
+    answer_cache: MutableMapping[WeightInterval, Sized] | None = None,
 ) -> QuantileResult:
     """Algorithm 1 over any :class:`CandidateSet`.
 
@@ -234,22 +242,24 @@ def run_pivoting(
             interval = interval.with_low(step.pivot_weight, strict=True)
             handle = step.gt
             current_count = count_gt
-        stats.append(
-            IterationStats(
+        candidate_count = count_eq if chosen == "eq" else current_count
+        record = step.stats.get((chosen, count_eq, candidate_count))
+        if record is None:
+            record = step.stats[(chosen, count_eq, candidate_count)] = IterationStats(
                 pivot_weight=step.pivot_weight,
                 c=step.pivot_c,
                 count_lt=count_lt,
                 count_eq=count_eq,
                 count_gt=count_gt,
-                candidate_count=count_eq if chosen == "eq" else current_count,
+                candidate_count=candidate_count,
                 chosen=chosen,
             )
-        )
+        stats.append(record)
         if chosen == "eq":
             return result(step.pivot_weight, step.pivot_assignment)
 
     # Materialize the remaining candidates and finish with plain selection.
-    # The sorted candidate list of a terminal interval is shared across calls
+    # The sorted candidates of a terminal interval are shared across calls
     # through answer_cache (calls whose targets land in the same interval pay
     # the materialize-and-sort once).
     answers = answer_cache.get(interval) if answer_cache is not None else None
@@ -305,14 +315,15 @@ class LocalCandidates:
             gt=(gt.query, gt.database),
         )
 
-    def terminal(self, interval: WeightInterval, handle: Any) -> list[Any]:
+    def terminal(self, interval: WeightInterval, handle: Any) -> AnswerRows:
+        # Weigh whole columns and sort once; only the permuted row-index
+        # columns are kept, and pick builds the one dict it returns.
         query, db = handle
         answers = evaluate(query, db, tree=self.tree_cache.get(query, db))
-        answers.sort(key=self.ranking.weight_of)
-        return answers
+        return answers.reordered(active_backend().argsort(answers.weights(self.ranking)))
 
-    def pick(self, answers: list[Any], position: int) -> tuple[Any, Assignment]:
-        answer = answers[position]
+    def pick(self, answers: AnswerRows, position: int) -> tuple[Any, Assignment]:
+        answer = answers.assignment(position)
         return self.ranking.weight_of(answer), answer
 
 
@@ -329,7 +340,7 @@ def pivoting_quantile(
     strategy_name: str | None = None,
     total: int | None = None,
     pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
-    answer_cache: MutableMapping[WeightInterval, list[Any]] | None = None,
+    answer_cache: MutableMapping[WeightInterval, Sized] | None = None,
     tree_cache: TreeCache | None = None,
 ) -> QuantileResult:
     """Run Algorithm 1 and return the requested (approximate) quantile.
@@ -358,9 +369,10 @@ def pivoting_quantile(
         across calls with the same (query, db, ranking, trimmer) to amortize
         pivot selection, trimming, and counting over repeated φ values.
     answer_cache:
-        Mutable mapping from terminal candidate interval to the sorted list
-        of materialized answers, sharing the final materialize-and-select
-        step across calls that end in the same interval.
+        Mutable mapping from terminal candidate interval to its weight-sorted
+        :class:`~repro.joins.yannakakis.AnswerRows`, sharing the final
+        materialize-and-select step across calls that end in the same
+        interval.
     tree_cache:
         Shared :class:`~repro.joins.tree_cache.TreeCache` so pivot
         selection, partition counting, and terminal materialization reuse

@@ -86,8 +86,8 @@ STRATEGIES = ("auto", "exact-pivot", "approx-pivot", "sampling", "materialize")
 #: Default cap on memoized pivoting iterations per prepared query.
 DEFAULT_PIVOT_CACHE_LIMIT = 256
 
-#: Default cap on memoized terminal answer lists per prepared query.  Kept
-#: much smaller than the pivot-cache limit: each entry holds up to
+#: Default cap on memoized terminals per prepared query.  Kept much smaller
+#: than the pivot-cache limit: each entry holds the sorted columns of up to
 #: ``termination_factor x |D|`` materialized answers, so this bound — not the
 #: pivot cache's — dominates the engine's memory ceiling.
 DEFAULT_ANSWER_CACHE_LIMIT = 32
@@ -820,11 +820,14 @@ class PreparedQuery:
         # Each cached tree re-materializes roughly the candidate database.
         total += len(self._tree_cache) * self.db.size * row_bytes
         # Each memoized pivot iteration keeps two trimmed sub-database views
-        # (masks over shared columns), each answer-cache entry a sorted list
-        # of up to termination_factor * |D| answers.
+        # (masks over shared columns); each answer-cache entry is a sorted
+        # terminal charged by its columns' actual length.
         total += self.pivot_cache_size * 1024
-        answer_entries = sum(len(cache) for cache in self._answer_caches.values())
-        total += answer_entries * self.termination_factor * row_bytes
+        total += sum(
+            terminal.cells * 8
+            for cache in list(self._answer_caches.values())
+            for terminal in list(cache.values())
+        )
         # Shard payloads are replicated into worker processes; charge the
         # shipped rows (broadcast replication included) at the same rate.
         if self._parallel_plan is not None:

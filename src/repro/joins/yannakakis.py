@@ -3,6 +3,9 @@
 Algorithm 1 falls back to materializing the remaining candidate answers once
 their number drops to at most the database size; the classic Yannakakis
 algorithm does this in time linear in input plus output for acyclic queries.
+:func:`evaluate` returns the answers as :class:`AnswerRows` — one row-index
+column per join-tree node — so weighing and ordering them are whole-column
+operations and only a selected answer becomes a dict.
 
 Both entry points accept an optional pre-built
 :class:`~repro.joins.message_passing.MaterializedTree` (typically served by a
@@ -13,6 +16,9 @@ of being rebuilt here.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable, Sequence
+from itertools import chain, repeat
 from typing import Any
 
 from repro.data.database import Database
@@ -20,6 +26,7 @@ from repro.data.relation import Relation
 from repro.joins.message_passing import MaterializedTree
 from repro.kernels import active_backend
 from repro.query.join_query import JoinQuery
+from repro.ranking.base import RankingFunction
 from repro.runtime import checkpoint
 
 Assignment = dict[str, Any]
@@ -95,96 +102,178 @@ def full_reduce(
     return reduced
 
 
+class AnswerRows:
+    """Query answers as row-index columns, one column per join-tree node.
+
+    Answer ``i`` joins row ``columns[node][i]`` of every node's materialized
+    rows.  All columns have the same length, the answer count; an answer is
+    only turned into an assignment dict on request, so whole-column work
+    (weighing, sorting) never builds per-answer Python objects.
+    """
+
+    __slots__ = ("variables", "rows", "columns", "_length", "_keys")
+
+    def __init__(
+        self,
+        variables: dict[int, tuple[str, ...]],
+        rows: dict[int, list[Row]],
+        columns: dict[int, Sequence[int]],
+    ) -> None:
+        #: Per node, in top-down order: its schema, rows and index column.
+        self.variables = variables
+        self.rows = rows
+        self.columns = columns
+        self._length = len(next(iter(columns.values())))
+        # An assignment's keys: every node's variables in node order (a
+        # variable shared by two nodes is bound to the same value by both).
+        self._keys = tuple(chain.from_iterable(variables.values()))
+
+    def __len__(self) -> int:
+        return self._length
+
+    @property
+    def cells(self) -> int:
+        """Number of stored column entries (answers times nodes)."""
+        return sum(len(column) for column in self.columns.values())
+
+    def assignment(self, index: int) -> Assignment:
+        """Answer ``index`` as a dict from variables to values."""
+        rows = self.rows
+        values = [
+            value for node, column in self.columns.items() for value in rows[node][column[index]]
+        ]
+        return dict(zip(self._keys, values))
+
+    def assignments(self) -> list[Assignment]:
+        """Every answer as a dict, in enumeration order."""
+        return [self.assignment(index) for index in range(len(self))]
+
+    def values(self, variable: str) -> list[Any]:
+        """The value column of one variable, parallel to the answers."""
+        node, position = self._owner(variable)
+        node_values = [row[position] for row in self.rows[node]]
+        return active_backend().take(node_values, self.columns[node])
+
+    def weights(self, ranking: RankingFunction) -> list[Any]:
+        """The ranking weight of every answer.
+
+        Each weighted variable is lifted once per row of the node holding
+        it, gathered through that node's column and folded in from
+        ``ranking.identity`` with ``ranking.combine`` in
+        ``weighted_variables`` order — the fold of
+        :meth:`~repro.ranking.base.RankingFunction.weight_of`, so every
+        weight (float sums included) is bit-identical to it.
+        """
+        kernel = active_backend()
+        weights: Iterable[Any] = repeat(ranking.identity, len(self))
+        # repro-analysis: allow RPR001 -- bounded by the ranking's arity; each pass is whole-column
+        for variable in ranking.weighted_variables:
+            if variable not in self._keys:
+                continue  # weight_of skips variables an answer does not bind
+            node, position = self._owner(variable)
+            lifted = [
+                ranking.variable_weight(variable, row[position]) for row in self.rows[node]
+            ]
+            weights = map(ranking.combine, weights, kernel.take(lifted, self.columns[node]))
+        return list(weights)
+
+    def reordered(self, order: Sequence[int]) -> "AnswerRows":
+        """These answers permuted by ``order``, with compact columns.
+
+        The columns are ``array('q')``: they hold no Python objects, so a
+        cached terminal costs the garbage collector nothing to traverse.
+        """
+        kernel = active_backend()
+        return AnswerRows(
+            self.variables,
+            self.rows,
+            {node: array("q", kernel.take(column, order)) for node, column in self.columns.items()},
+        )
+
+    def _owner(self, variable: str) -> tuple[int, int]:
+        """The first node (top-down) binding ``variable``, and its position."""
+        node = next(node for node, names in self.variables.items() if variable in names)
+        return node, self.variables[node].index(variable)
+
+
+def _alive_members(
+    tree: MaterializedTree, parent: int, child: int, alive: list[int]
+) -> list[list[int]]:
+    """Per child join group (by ordinal), its surviving rows in row order;
+    one trailing empty group serves the "no such group" sentinel ordinal."""
+    members = [
+        [row for row in positions if alive[row]]
+        for positions in tree.child_groups(parent, child).values()
+    ]
+    members.append([])
+    return members
+
+
 def evaluate(
     query: JoinQuery,
     db: Database,
     limit: int | None = None,
     tree: MaterializedTree | None = None,
-) -> list[Assignment]:
+) -> AnswerRows:
     """Materialize the query answers (time linear in input + output).
 
-    The enumeration is iterative — an explicit odometer over the join tree's
-    nodes in top-down order — so arbitrarily deep join trees (e.g. very long
-    path queries) cannot hit Python's recursion limit, and ``limit`` stops
-    the walk as soon as enough answers were produced.
+    Answers are expanded one join-tree node at a time, in top-down order:
+    every partial answer is replaced in place by its extensions with the
+    surviving rows of the join group its parent row selects.  The result is
+    lexicographic in the nodes' top-down order, and each level is a few
+    whole-column ops, so arbitrarily deep join trees (e.g. very long path
+    queries) cannot hit Python's recursion limit.
 
     Parameters
     ----------
     limit:
         Optional cap on the number of produced answers (useful to guard
-        against accidentally materializing a huge result).
+        against accidentally materializing a huge result); the first
+        ``limit`` answers of the full enumeration are kept.
     tree:
         Optionally, an already materialized tree for (query, db).
 
     Returns
     -------
-    list of assignments (dictionaries from variables to values).
+    The answers as :class:`AnswerRows` (one row-index column per node).
+    The whole answer count is charged to the row budget in one
+    ``yannakakis.answer`` checkpoint before the last level is built.
     """
-    if limit is not None and limit <= 0:
-        return []
     if tree is None:
         tree = MaterializedTree(query, db)
-    alive = _reduced_row_flags(tree)
-
-    # Parents before children: once rows are chosen for positions 0..k-1, the
-    # candidate rows for position k are the alive members of the join group
-    # its parent's chosen row selects.
     order = tree.nodes_top_down()
-    position_of = {node: position for position, node in enumerate(order)}
-    parent_of: dict[int, int] = {}
-    for parent in order:
-        for child in tree.children(parent):
-            parent_of[child] = parent
-    node_rows = {node: tree.rows(node) for node in order}
-    node_variables = {node: tree.variables(node) for node in order}
-    root = tree.root
-    root_candidates = active_backend().masked_filter(alive[root])
-    if not root_candidates:
-        return []
+    parent_of = {child: parent for parent in order for child in tree.children(parent)}
+    kernel = active_backend()
+    cap = None if limit is None else max(limit, 0)
 
-    answers: list[Assignment] = []
-    depth = len(order)
-    # Per position: the candidate row indices and the cursor into them.
-    candidates: list[list[int]] = [[] for _ in range(depth)]
-    cursors = [0] * depth
-    candidates[0] = root_candidates
+    def capped(column: Sequence[int]) -> Sequence[int]:
+        return column if cap is None or len(column) <= cap else column[:cap]
 
-    def candidates_for(position: int) -> list[int]:
-        node = order[position]
+    alive = _reduced_row_flags(tree)
+    columns: dict[int, Sequence[int]] = {
+        order[0]: capped(kernel.masked_filter(alive[order[0]]))
+    }
+    if len(order) == 1:
+        checkpoint("yannakakis.answer", rows=len(columns[order[0]]))
+    for level, node in enumerate(order[1:], start=2):
+        checkpoint("yannakakis.expand")
         parent = parent_of[node]
-        parent_position = position_of[parent]
-        parent_row = node_rows[parent][candidates[parent_position][cursors[parent_position]]]
-        key = tree.parent_group_key(parent, parent_row, node)
-        groups = tree.child_groups(parent, node)
-        node_alive = alive[node]
-        return [i for i in groups.get(key, ()) if node_alive[i]]
-
-    position = 0
-    while position >= 0:
-        if position == depth:
-            # One full choice vector: assemble the assignment.
-            assignment: Assignment = {}
-            for slot in range(depth):
-                node = order[slot]
-                row = node_rows[node][candidates[slot][cursors[slot]]]
-                assignment.update(zip(node_variables[node], row))
-            answers.append(assignment)
-            checkpoint("yannakakis.answer", rows=1)
-            if limit is not None and len(answers) >= limit:
-                return answers
-            position -= 1
-            cursors[position] += 1
-            continue
-        if position > 0 and cursors[position] == 0:
-            candidates[position] = candidates_for(position)
-        if cursors[position] >= len(candidates[position]):
-            # Exhausted this slot: backtrack and advance the previous one.
-            cursors[position] = 0
-            position -= 1
-            if position >= 0:
-                cursors[position] += 1
-            continue
-        position += 1
-        if position < depth:
-            cursors[position] = 0
-    return answers
+        members = _alive_members(tree, parent, node, alive[node])
+        groups = kernel.take(tree.parent_group_ids(parent, node), columns[parent])
+        sizes = kernel.take([len(rows) for rows in members], groups)
+        if level == len(order):
+            total = sum(sizes)
+            checkpoint("yannakakis.answer", rows=total if cap is None else min(total, cap))
+        # Every surviving partial answer has at least one extension, so
+        # capping each level keeps exactly the first ``limit`` answers.
+        # The level's new index columns are arrays: one-shot inputs no
+        # backend cache will pin, and nothing for the garbage collector.
+        sources = capped(array("q", chain.from_iterable(map(repeat, range(len(groups)), sizes))))
+        expanded = capped(array("q", chain.from_iterable(map(members.__getitem__, groups))))
+        columns = {prior: kernel.take(column, sources) for prior, column in columns.items()}
+        columns[node] = expanded
+    return AnswerRows(
+        {node: tree.variables(node) for node in columns},
+        {node: tree.rows(node) for node in columns},
+        columns,
+    )

@@ -30,6 +30,7 @@ Import of this module requires NumPy; :mod:`repro.kernels` treats an
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Sequence
 from typing import Any, ClassVar
 
@@ -50,8 +51,16 @@ _INT_SAFE_BOUND = 2**31
 #: integer column is exact (every partial sum stays below 2**53).
 _FLOAT_EXACT_BOUND = 2**53
 
-#: Conversion-cache capacity; the cache is cleared wholesale when full.
-_CACHE_CAPACITY = 256
+#: Conversion-cache capacity in list elements; the cache is cleared
+#: wholesale when an insertion would exceed it.  Bounding elements, not
+#: entries, bounds the memory the cache pins: it holds its input lists
+#: strongly, long after their callers dropped them.
+_CACHE_CAPACITY = 1 << 16
+
+#: Inputs longer than this are converted but never cached: one-shot
+#: columns (e.g. a terminal's answer columns) would otherwise pin most of
+#: the capacity, and keep their lists alive for the garbage collector.
+_CACHE_MAX_INPUT = _CACHE_CAPACITY // 2
 
 #: Below this many rows an op routes to the stdlib implementation: the fixed
 #: per-call cost of ndarray conversion exceeds what vectorization saves.
@@ -86,7 +95,8 @@ class NumpyKernelBackend(PythonKernelBackend):
     Conversions between Python lists and ndarrays dominate the cost of the
     individual ops, so the backend caches them both ways: numeric outputs
     are :class:`_ArrayList` instances carrying their source array, and
-    plain-list inputs are remembered in a small identity-keyed cache (the
+    plain-list inputs up to a size are remembered in an identity-keyed
+    cache bounded by total elements (the
     kernel input contract — columns are frozen once passed — is what makes
     identity caching sound; a length change is detected and re-converts).
     """
@@ -96,8 +106,10 @@ class NumpyKernelBackend(PythonKernelBackend):
     def __init__(self) -> None:
         # id(list) -> (the list itself, its converted array).  Holding the
         # list strongly pins its id, so an entry can never alias a new
-        # object; capacity-bounded by wholesale clearing.
+        # object; bounded by total elements through wholesale clearing.
         self._conversions: dict[int, tuple[list[Value], Any]] = {}
+        self._cached_elements = 0
+        self._cache_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # Conversion helpers
@@ -127,10 +139,16 @@ class NumpyKernelBackend(PythonKernelBackend):
             return None
         if array.ndim != 1 or array.dtype.kind not in _NUMERIC_KINDS:
             return None
-        if isinstance(values, list):
-            if len(self._conversions) >= _CACHE_CAPACITY:
-                self._conversions.clear()
-            self._conversions[id(values)] = (values, array)
+        if isinstance(values, list) and len(values) <= _CACHE_MAX_INPUT:
+            with self._cache_lock:
+                if self._cached_elements + len(values) > _CACHE_CAPACITY:
+                    self._conversions.clear()
+                    self._cached_elements = 0
+                replaced = self._conversions.get(id(values))
+                if replaced is not None:  # re-converted after an append
+                    self._cached_elements -= len(replaced[1])
+                self._conversions[id(values)] = (values, array)
+                self._cached_elements += len(values)
         return array
 
     @staticmethod

@@ -12,9 +12,10 @@ per-shard counts.
 candidates is the tuple of per-shard counts.  Splitting asks the largest
 surviving shard to *propose* a pivot and fans the lt/gt counting out to
 every surviving shard; the terminal step gathers each shard's
-weight-sorted answers and merges them.  The returned weight, target index,
-and total are bit-identical to the serial path (the pivot trajectory may
-differ, which only changes iteration diagnostics, never the selected rank).
+weight-sorted columns and merges them with one stable argsort.  The
+returned weight, target index, and total are bit-identical to the serial
+path (the pivot trajectory may differ, which only changes iteration
+diagnostics, never the selected rank).
 
 :class:`ParallelSession` owns the pool plus per-shard bookkeeping and
 threads the runtime guardrails through: in process mode each task carries
@@ -26,7 +27,9 @@ observed at the loop's per-iteration checkpoint and at every merge.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, MutableMapping
+from collections.abc import Iterable, MutableMapping, Sized
+from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 import repro.exceptions as _exceptions
@@ -38,6 +41,7 @@ from repro.exceptions import (
     ReproError,
     SolverError,
 )
+from repro.kernels import active_backend
 from repro.parallel.planner import ShardPlan
 from repro.parallel.pool import ShardFuture, ShardPool, create_pool
 from repro.parallel.worker import TaskResult
@@ -45,8 +49,30 @@ from repro.query.predicates import WeightInterval
 from repro.ranking.base import RankingFunction
 from repro.runtime import checkpoint, current_context
 
-#: ``(weight, values-in-var_order)`` pairs as shipped by shard terminals.
-MergedAnswer = tuple[Any, tuple[Any, ...]]
+
+@dataclass(frozen=True)
+class MergedAnswers:
+    """A merged sharded terminal: one weight-sorted value column per variable.
+
+    Columns are tuples: once the garbage collector has seen that they hold
+    only atomic values it stops tracking them, so a cached terminal costs
+    later collections nothing.
+    """
+
+    variables: tuple[str, ...]
+    columns: tuple[tuple[Any, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    @property
+    def cells(self) -> int:
+        """Number of stored column entries (answers times variables)."""
+        return len(self) * len(self.columns)
+
+    def assignment(self, index: int) -> Assignment:
+        """Answer ``index`` as a dict in ``variables`` order."""
+        return {variable: column[index] for variable, column in zip(self.variables, self.columns)}
 
 
 class ParallelSession:
@@ -200,7 +226,7 @@ class RankMerger:
         variables: Iterable[str],
         termination_size: int,
         pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
-        answer_cache: MutableMapping[WeightInterval, list[Any]] | None = None,
+        answer_cache: MutableMapping[WeightInterval, Sized] | None = None,
     ) -> QuantileResult:
         """Answer one quantile (or selection) query over the sharded order."""
         session = self.session
@@ -254,35 +280,41 @@ class RankMerger:
 
     def terminal(
         self, interval: WeightInterval, handle: tuple[int, ...]
-    ) -> list[MergedAnswer]:
-        """Gather and merge the surviving shards' materialized answers.
+    ) -> MergedAnswers:
+        """Gather and merge the surviving shards' weight-sorted columns.
 
-        Each shard ships its answers pre-sorted by weight; the concatenation
-        is merged with one stable sort on the weight key (cheap on mostly
-        sorted input, and stable so equal weights keep shard order — the
-        result is deterministic across runs).
+        The per-shard columns are concatenated in shard order and merged
+        with one stable argsort of the weight column, so equal weights keep
+        shard order and, within a shard, the shard's own order — the result
+        is deterministic across runs.
         """
         session = self.session
         active = [s for s in range(session.num_shards) if handle[s] > 0]
         if not active:
-            return []
+            return MergedAnswers(session.var_order, tuple(() for _ in session.var_order))
         outcomes = session.fan_out(
             (shard, "terminal", interval) for shard in active
         )
-        merged: list[MergedAnswer] = []
-        for shard_answers in outcomes:
-            merged.extend(shard_answers)
-        merged.sort(key=lambda pair: pair[0])
-        checkpoint("parallel.merge", rows=len(merged))
-        return merged
+        kernel = active_backend()
+        weights = list(chain.from_iterable(shard_weights for shard_weights, _ in outcomes))
+        order = kernel.argsort(weights)
+        checkpoint("parallel.merge", rows=len(weights))
+        columns = (
+            list(chain.from_iterable(values[slot] for _, values in outcomes))
+            for slot in range(len(session.var_order))
+        )
+        return MergedAnswers(
+            session.var_order,
+            tuple(tuple(kernel.take(column, order)) for column in columns),
+        )
 
-    def pick(self, answers: list[MergedAnswer], position: int) -> tuple[Any, Assignment]:
-        weight, values = answers[position]
-        return weight, dict(zip(self.session.var_order, values))
+    def pick(self, answers: MergedAnswers, position: int) -> tuple[Any, Assignment]:
+        answer = answers.assignment(position)
+        return self.session.ranking.weight_of(answer), answer
 
 
 __all__ = [
-    "MergedAnswer",
+    "MergedAnswers",
     "ParallelSession",
     "RankMerger",
 ]

@@ -9,7 +9,8 @@ coordinator through :func:`run_shard_task`:
 * ``init``    — build the shard from flat column payloads, reduce, count;
 * ``pivot``   — propose a c-pivot among the shard's current candidates;
 * ``counts``  — trim lt/gt partitions for a pivot weight and count them;
-* ``terminal``— materialize and weight-sort the remaining candidates.
+* ``terminal``— materialize and weight-sort the remaining candidates,
+  shipped as columns.
 
 The reduction, counting, trimming, and pivot selection are the *same*
 functions the serial engine uses; sharding never forks the algorithm.  All
@@ -36,6 +37,7 @@ from repro.exceptions import (
 from repro.joins.counting import count_answers, count_from_tree
 from repro.joins.tree_cache import TreeCache
 from repro.joins.yannakakis import evaluate, full_reduce
+from repro.kernels import active_backend
 from repro.pivot.pivot_selection import select_pivot
 from repro.query.atom import Atom
 from repro.query.join_query import JoinQuery
@@ -224,23 +226,25 @@ def _partition_counts(
 
 def _terminal_answers(
     state: _ShardState, interval: WeightInterval
-) -> list[tuple[Any, tuple[Any, ...]]]:
+) -> tuple[list[Any], list[list[Any]]]:
     """Materialize and weight-sort this shard's remaining candidates.
 
-    Answers travel as ``(weight, values-in-var_order)`` pairs — flat tuples,
-    not per-answer dicts — and arrive pre-sorted so the coordinator's merge
-    over the (mostly sorted) concatenation is cheap.
+    Answers travel as columns, not per-answer objects: the stable-sorted
+    weight column and, in the same order, one value column per variable of
+    ``var_order``.  Pre-sorted columns let the coordinator merge shards
+    with one stable sort over their concatenation.
     """
     query, db, count = _candidate(state, interval)
     if count == 0:
-        return []
+        return [], [[] for _ in state.var_order]
     answers = evaluate(query, db, tree=state.tree_cache.get(query, db))
-    answers.sort(key=state.ranking.weight_of)
-    var_order = state.var_order
-    weight_of = state.ranking.weight_of
-    return [
-        (weight_of(answer), tuple(answer.get(v) for v in var_order))
-        for answer in answers
+    weights = answers.weights(state.ranking)
+    kernel = active_backend()
+    order = kernel.argsort(weights)
+    ordered = answers.reordered(order)
+    # Plain lists: a backend's list subclass would pickle its cached array too.
+    return list(kernel.take(weights, order)), [
+        list(ordered.values(variable)) for variable in state.var_order
     ]
 
 

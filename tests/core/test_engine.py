@@ -168,6 +168,20 @@ class TestPreparedStateReuse:
         prepared.quantiles([0.2, 0.5, 0.8])
         assert prepared.tree_cache.misses == misses
 
+    def test_cached_terminals_are_charged_by_their_columns(self, binary_join):
+        query, db = binary_join
+        prepared = Engine(db).prepare(query, SumRanking(["x1", "x3"]), termination_factor=12)
+        total = prepared.count()
+        assert total <= 12 * db.size  # the first interval is the terminal
+        before = prepared.estimated_bytes()
+        trees = len(prepared.tree_cache)
+        prepared.quantile(0.5)
+        assert prepared.pivot_cache_size == 0
+        # One cached terminal: every answer, one 8-byte row index per atom.
+        [terminal] = [t for cache in prepared._answer_caches.values() for t in cache.values()]
+        assert len(terminal) == total and terminal.cells == total * len(query)
+        grown = prepared.estimated_bytes() - before
+        assert grown == terminal.cells * 8 + (len(prepared.tree_cache) - trees) * db.size * 64
 
 class TestExecution:
     def test_batch_equals_per_phi_calls(self, binary_join):

@@ -9,6 +9,8 @@ leaking out of the NumPy backend fails loudly.
 
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
 from repro.exceptions import ValidationError
@@ -226,3 +228,35 @@ class TestOpParity:
         appended = backend.take(sums, list(range(6)))
         assert appended == sums
         assert isinstance(order, list) and isinstance(gathered, list)
+
+
+class _Column(list):
+    """A plain list that can be weakly referenced."""
+
+
+@pytest.mark.skipif(len(BACKENDS) < 2, reason="NumPy is not installed")
+class TestNumpyConversionCache:
+    def test_dropped_large_input_is_not_kept_alive(self):
+        backend = create_backend("numpy")
+        n = 100_000
+        values = _Column(float(i % 977) for i in range(n))
+        positions = list(range(0, n, 3))
+        assert backend.take(values, positions) == python_reference("take", values, positions)
+        assert backend.argsort(values) == python_reference("argsort", values)
+        dropped = weakref.ref(values)
+        del values
+        assert dropped() is None
+
+    def test_cache_is_bounded_by_elements(self):
+        from repro.kernels import numpy_backend
+
+        backend = create_backend("numpy")
+        n = numpy_backend._CACHE_MAX_INPUT
+        columns = [[float(i + j) for i in range(n)] for j in range(12)]
+        for column in columns:
+            backend.argsort(column)
+            assert backend._cached_elements <= numpy_backend._CACHE_CAPACITY
+        # A small column that is fed in twice is converted once.
+        small = [float(i) for i in range(2048)]
+        backend.argsort(small)
+        assert backend._conversions[id(small)][0] is small

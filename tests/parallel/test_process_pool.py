@@ -6,8 +6,6 @@ exhaustive equality sweeps live in ``test_merge.py`` (inline mode).
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
 from repro.engine import Engine
@@ -49,8 +47,9 @@ class TestCrashDegradation:
             assert prepared.shards == 2
             # Hard-kill lane 0's worker process out from under the session.
             pool = prepared._parallel_session._pool
-            pool._lanes[0].submit(crash_for_tests)
-            time.sleep(0.3)
+            # Wait for the kill: the lane is marked broken before the
+            # crash future fails, so the next submit sees a dead lane.
+            pool._lanes[0].submit(crash_for_tests).exception(timeout=30)
             with pytest.warns(DegradedResultWarning):
                 degraded = prepared.quantile(0.25)
             assert degraded.degraded
@@ -68,8 +67,7 @@ class TestCrashDegradation:
     def test_pool_maps_broken_lane_to_worker_crash_error(self):
         pool = WorkerPool(1)
         try:
-            pool._lanes[0].submit(crash_for_tests)
-            time.sleep(0.2)
+            pool._lanes[0].submit(crash_for_tests).exception(timeout=30)
             with pytest.raises((WorkerCrashError, WorkerPoolClosedError)):
                 future = pool.submit(0, "pivot", None, None)
                 pool.result(0, future)
