@@ -27,7 +27,7 @@ processes and sums their counts.  Both run the same loop.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, MutableMapping, Sized
+from collections.abc import Iterable, MutableMapping
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
@@ -121,9 +121,19 @@ class PivotStep:
     count_gt: int
     lt: Any
     gt: Any
-    stats: dict[tuple[str, int, int], IterationStats] = field(
+    stats: dict[str, IterationStats] = field(
         default_factory=dict, compare=False, repr=False
     )
+
+
+class Terminal(Protocol):
+    """A terminal interval's materialized candidates, sorted by weight."""
+
+    def __len__(self) -> int: ...
+
+    def assignment(self, index: int) -> Assignment:
+        """The candidate at sorted position ``index``, as a dict."""
+        ...
 
 
 class CandidateSet(Protocol):
@@ -134,18 +144,19 @@ class CandidateSet(Protocol):
     back handles this set returned in a :class:`PivotStep`.
     """
 
+    @property
+    def ranking(self) -> RankingFunction:
+        """The ranking the candidates are ordered by."""
+        ...
+
     def split(self, interval: WeightInterval, handle: Any) -> PivotStep:
         """Select a c-pivot among ``handle``'s candidates and count the
         candidates of ``interval`` strictly below and above its weight."""
         ...
 
-    def terminal(self, interval: WeightInterval, handle: Any) -> Sized:
+    def terminal(self, interval: WeightInterval, handle: Any) -> Terminal:
         """Materialize ``handle``'s candidates, sorted by weight (ties in a
         deterministic order)."""
-        ...
-
-    def pick(self, answers: Any, position: int) -> tuple[Any, Assignment]:
-        """The ``(weight, assignment)`` at ``position`` of :meth:`terminal`'s answers."""
         ...
 
 
@@ -162,7 +173,7 @@ def run_pivoting(
     epsilon: float | None = None,
     max_iterations: int | None = None,
     pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
-    answer_cache: MutableMapping[WeightInterval, Sized] | None = None,
+    answer_cache: MutableMapping[WeightInterval, Terminal] | None = None,
 ) -> QuantileResult:
     """Algorithm 1 over any :class:`CandidateSet`.
 
@@ -242,16 +253,19 @@ def run_pivoting(
             interval = interval.with_low(step.pivot_weight, strict=True)
             handle = step.gt
             current_count = count_gt
-        candidate_count = count_eq if chosen == "eq" else current_count
-        record = step.stats.get((chosen, count_eq, candidate_count))
+        # Memoized per branch to keep allocations off the warm path: a
+        # garbage collection inside a ~1 ms warm batch (path-max-batch's
+        # warm_batch_s) costs up to half of it.  ``chosen`` is the only
+        # part that varies, since the counts are fixed by the interval.
+        record = step.stats.get(chosen)
         if record is None:
-            record = step.stats[(chosen, count_eq, candidate_count)] = IterationStats(
+            record = step.stats[chosen] = IterationStats(
                 pivot_weight=step.pivot_weight,
                 c=step.pivot_c,
                 count_lt=count_lt,
                 count_eq=count_eq,
                 count_gt=count_gt,
-                candidate_count=candidate_count,
+                candidate_count=count_eq if chosen == "eq" else current_count,
                 chosen=chosen,
             )
         stats.append(record)
@@ -270,7 +284,8 @@ def run_pivoting(
         if answer_cache is not None:
             answer_cache[interval] = answers
     # A lossy trimmer may have dropped answers: clamp to the last survivor.
-    return result(*candidates.pick(answers, min(remaining_index, len(answers) - 1)))
+    answer = answers.assignment(min(remaining_index, len(answers) - 1))
+    return result(candidates.ranking.weight_of(answer), answer)
 
 
 @dataclass(frozen=True)
@@ -317,14 +332,10 @@ class LocalCandidates:
 
     def terminal(self, interval: WeightInterval, handle: Any) -> AnswerRows:
         # Weigh whole columns and sort once; only the permuted row-index
-        # columns are kept, and pick builds the one dict it returns.
+        # columns are kept, and the loop builds the one dict it returns.
         query, db = handle
         answers = evaluate(query, db, tree=self.tree_cache.get(query, db))
         return answers.reordered(active_backend().argsort(answers.weights(self.ranking)))
-
-    def pick(self, answers: AnswerRows, position: int) -> tuple[Any, Assignment]:
-        answer = answers.assignment(position)
-        return self.ranking.weight_of(answer), answer
 
 
 def pivoting_quantile(
@@ -340,7 +351,7 @@ def pivoting_quantile(
     strategy_name: str | None = None,
     total: int | None = None,
     pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
-    answer_cache: MutableMapping[WeightInterval, Sized] | None = None,
+    answer_cache: MutableMapping[WeightInterval, Terminal] | None = None,
     tree_cache: TreeCache | None = None,
 ) -> QuantileResult:
     """Run Algorithm 1 and return the requested (approximate) quantile.

@@ -60,7 +60,7 @@ from repro.exceptions import (
 )
 from repro.joins.counting import count_from_tree
 from repro.joins.tree_cache import TreeCache, database_fingerprint
-from repro.joins.yannakakis import full_reduce
+from repro.joins.yannakakis import AnswerRows, full_reduce
 from repro.parallel.merger import ParallelSession, RankMerger
 from repro.parallel.planner import ShardPlan, ShardPlanner, resolve_shard_count
 from repro.query.classify import (
@@ -821,13 +821,17 @@ class PreparedQuery:
         total += len(self._tree_cache) * self.db.size * row_bytes
         # Each memoized pivot iteration keeps two trimmed sub-database views
         # (masks over shared columns); each answer-cache entry is a sorted
-        # terminal charged by its columns' actual length.
+        # terminal charged by its columns' actual length.  A serial terminal
+        # also pins its tree's row lists after the tree cache drops the
+        # tree: each distinct list is charged once, per row.
         total += self.pivot_cache_size * 1024
-        total += sum(
-            terminal.cells * 8
-            for cache in list(self._answer_caches.values())
-            for terminal in list(cache.values())
-        )
+        pinned_rows: dict[int, int] = {}
+        for cache in list(self._answer_caches.values()):
+            for terminal in list(cache.values()):
+                total += terminal.cells * 8
+                if isinstance(terminal, AnswerRows):
+                    pinned_rows.update((id(rows), len(rows)) for rows in terminal.rows.values())
+        total += sum(pinned_rows.values()) * row_bytes
         # Shard payloads are replicated into worker processes; charge the
         # shipped rows (broadcast replication included) at the same rate.
         if self._parallel_plan is not None:

@@ -52,15 +52,11 @@ _INT_SAFE_BOUND = 2**31
 _FLOAT_EXACT_BOUND = 2**53
 
 #: Conversion-cache capacity in list elements; the cache is cleared
-#: wholesale when an insertion would exceed it.  Bounding elements, not
+#: wholesale when an insertion would exceed it, and an input longer than the
+#: whole capacity is converted but not cached.  Bounding elements, not
 #: entries, bounds the memory the cache pins: it holds its input lists
 #: strongly, long after their callers dropped them.
 _CACHE_CAPACITY = 1 << 16
-
-#: Inputs longer than this are converted but never cached: one-shot
-#: columns (e.g. a terminal's answer columns) would otherwise pin most of
-#: the capacity, and keep their lists alive for the garbage collector.
-_CACHE_MAX_INPUT = _CACHE_CAPACITY // 2
 
 #: Below this many rows an op routes to the stdlib implementation: the fixed
 #: per-call cost of ndarray conversion exceeds what vectorization saves.
@@ -95,10 +91,10 @@ class NumpyKernelBackend(PythonKernelBackend):
     Conversions between Python lists and ndarrays dominate the cost of the
     individual ops, so the backend caches them both ways: numeric outputs
     are :class:`_ArrayList` instances carrying their source array, and
-    plain-list inputs up to a size are remembered in an identity-keyed
-    cache bounded by total elements (the
-    kernel input contract — columns are frozen once passed — is what makes
-    identity caching sound; a length change is detected and re-converts).
+    plain-list inputs are remembered in an identity-keyed cache bounded by
+    total elements (the kernel input contract — columns are frozen once
+    passed — is what makes identity caching sound; a length change is
+    detected and re-converts).
     """
 
     name: ClassVar[str] = "numpy"
@@ -139,7 +135,7 @@ class NumpyKernelBackend(PythonKernelBackend):
             return None
         if array.ndim != 1 or array.dtype.kind not in _NUMERIC_KINDS:
             return None
-        if isinstance(values, list) and len(values) <= _CACHE_MAX_INPUT:
+        if isinstance(values, list) and len(values) <= _CACHE_CAPACITY:
             with self._cache_lock:
                 if self._cached_elements + len(values) > _CACHE_CAPACITY:
                     self._conversions.clear()

@@ -27,13 +27,13 @@ observed at the loop's per-iteration checkpoint and at every merge.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, MutableMapping, Sized
+from collections.abc import Iterable, MutableMapping
 from dataclasses import dataclass
 from itertools import chain
 from typing import Any
 
 import repro.exceptions as _exceptions
-from repro.core.quantile import Assignment, PivotStep, run_pivoting
+from repro.core.quantile import Assignment, PivotStep, Terminal, run_pivoting
 from repro.core.result import QuantileResult
 from repro.exceptions import (
     BudgetExceededError,
@@ -219,6 +219,10 @@ class RankMerger:
     def __init__(self, session: ParallelSession) -> None:
         self.session = session
 
+    @property
+    def ranking(self) -> RankingFunction:
+        return self.session.ranking
+
     def solve(
         self,
         phi: float | None,
@@ -226,7 +230,7 @@ class RankMerger:
         variables: Iterable[str],
         termination_size: int,
         pivot_cache: MutableMapping[WeightInterval, PivotStep] | None = None,
-        answer_cache: MutableMapping[WeightInterval, Sized] | None = None,
+        answer_cache: MutableMapping[WeightInterval, Terminal] | None = None,
     ) -> QuantileResult:
         """Answer one quantile (or selection) query over the sharded order."""
         session = self.session
@@ -307,10 +311,6 @@ class RankMerger:
             session.var_order,
             tuple(tuple(kernel.take(column, order)) for column in columns),
         )
-
-    def pick(self, answers: MergedAnswers, position: int) -> tuple[Any, Assignment]:
-        answer = answers.assignment(position)
-        return self.session.ranking.weight_of(answer), answer
 
 
 __all__ = [

@@ -177,11 +177,22 @@ class TestPreparedStateReuse:
         trees = len(prepared.tree_cache)
         prepared.quantile(0.5)
         assert prepared.pivot_cache_size == 0
-        # One cached terminal: every answer, one 8-byte row index per atom.
+        # One cached terminal: every answer, one 8-byte row index per atom,
+        # plus the tree rows it pins (each distinct row list once).
         [terminal] = [t for cache in prepared._answer_caches.values() for t in cache.values()]
         assert len(terminal) == total and terminal.cells == total * len(query)
+        pinned = {id(rows): len(rows) for rows in terminal.rows.values()}
         grown = prepared.estimated_bytes() - before
-        assert grown == terminal.cells * 8 + (len(prepared.tree_cache) - trees) * db.size * 64
+        assert grown == (
+            terminal.cells * 8
+            + sum(pinned.values()) * 64
+            + (len(prepared.tree_cache) - trees) * db.size * 64
+        )
+        # The pinned rows stay charged after the tree cache drops the tree.
+        prepared.tree_cache.clear()
+        assert prepared.estimated_bytes() - before == (
+            terminal.cells * 8 + sum(pinned.values()) * 64 - trees * db.size * 64
+        )
 
 class TestExecution:
     def test_batch_equals_per_phi_calls(self, binary_join):

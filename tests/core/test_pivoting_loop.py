@@ -17,10 +17,20 @@ from hypothesis import strategies as st
 from repro.core.quantile import CappedCache, PivotStep, run_pivoting
 from repro.exceptions import SolverError
 from repro.query.predicates import WeightInterval
+from repro.ranking.minmax import MaxRanking
+
+
+class ScriptedAnswers(list):
+    """A scripted terminal: assignment dicts, already in weight order."""
+
+    def assignment(self, index):
+        return self[index]
 
 
 class ScriptedCandidates:
     """A candidate set whose splits and terminals are looked up by handle."""
+
+    ranking = MaxRanking(["x"])  # an answer weighs its "x"
 
     def __init__(self, steps=None, answers=None):
         self.steps = steps or {}
@@ -34,10 +44,7 @@ class ScriptedCandidates:
 
     def terminal(self, interval, handle):
         self.terminals.append((interval, handle))
-        return list(self.answers.get(handle, []))
-
-    def pick(self, answers, position):
-        return answers[position]
+        return ScriptedAnswers(self.answers.get(handle, []))
 
 
 def step(weight, count_lt, count_gt, lt="lt", gt="gt", c=0.5):
@@ -70,7 +77,7 @@ class TestBranches:
         assert (stat.chosen, stat.count_eq, stat.candidate_count) == ("eq", 3, 3)
 
     def test_lt_branch_materializes_below_the_pivot(self):
-        low = [(w, {"x": w, "helper": 0}) for w in (10, 20, 30)]
+        low = [{"x": w, "helper": 0} for w in (10, 20, 30)]
         candidates = ScriptedCandidates({"root": step(50, 3, 4)}, {"lt": low})
         result = run(candidates, termination_size=3, index=1)
         assert (result.weight, result.assignment) == (20, {"x": 20})
@@ -80,7 +87,7 @@ class TestBranches:
         assert result.stats[0].chosen == "lt"
 
     def test_gt_branch_rebases_the_remaining_index(self):
-        high = [(w, {"x": w}) for w in (60, 70, 80, 90)]
+        high = [{"x": w} for w in (60, 70, 80, 90)]
         candidates = ScriptedCandidates({"root": step(50, 3, 4)}, {"gt": high})
         # Index 8 skips 3 lower and 3 equal answers: position 2 above.
         result = run(candidates, termination_size=4, index=8)
@@ -92,7 +99,7 @@ class TestBranches:
     def test_lossy_terminal_clamps_to_the_last_survivor(self):
         # The counts promised 4 answers above the pivot, 2 survived.
         candidates = ScriptedCandidates(
-            {"root": step(50, 3, 4)}, {"gt": [(60, {"x": 60}), (70, {"x": 70})]}
+            {"root": step(50, 3, 4)}, {"gt": [{"x": 60}, {"x": 70}]}
         )
         assert run(candidates, termination_size=4, index=9).weight == 70
 
@@ -119,7 +126,7 @@ class TestIterationCap:
 class TestCaches:
     def test_steps_and_terminals_are_reused_per_interval(self):
         candidates = ScriptedCandidates(
-            {"root": step(50, 3, 4)}, {"lt": [(w, {"x": w}) for w in (10, 20, 30)]}
+            {"root": step(50, 3, 4)}, {"lt": [{"x": w} for w in (10, 20, 30)]}
         )
         steps, answers = {}, {}
         for index in (0, 1, 2):

@@ -94,14 +94,13 @@ def case_inputs(case_name, ranking_name, seed=3):
     return JoinQuery.parse(case[0]), case[3](random.Random(seed)), RANKINGS[ranking_name](case)
 
 
-def assert_matches_oracle(candidates, terminal, oracle, ranking):
-    """Every position of ``terminal`` picks the oracle's answer and weight."""
+def assert_matches_oracle(terminal, oracle):
+    """Every position of ``terminal`` holds the oracle's answer."""
     assert len(terminal) == len(oracle)
     for position, expected in enumerate(oracle):
-        weight, assignment = candidates.pick(terminal, position)
+        assignment = terminal.assignment(position)
         assert assignment == expected
         assert list(assignment) == list(expected)  # same key order too
-        assert weight == ranking.weight_of(expected)
 
 
 @pytest.mark.parametrize("ranking_name", sorted(RANKINGS))
@@ -115,7 +114,7 @@ def test_terminal_order_matches_sorted_answers(backend, case_name, ranking_name)
     terminal = candidates.terminal(WeightInterval(), (canonical_query, canonical_db))
     assert len(terminal) > 0
     oracle = sorted_answers(canonical_query, canonical_db, ranking)
-    assert_matches_oracle(candidates, terminal, oracle, ranking)
+    assert_matches_oracle(terminal, oracle)
 
 
 class _Recorder:
@@ -186,12 +185,12 @@ def test_engine_differential(
             if result.iterations == 0 and prepared.shards is None:
                 # The whole join was the terminal: the tie order is the oracle's.
                 assert result.assignment == oracle[result.target_index]
-        for candidates, _, handle, terminal in recorder.serial:
+        for _, _, handle, terminal in recorder.serial:
             expected_order = sorted_answers(*handle, ranking)
-            assert_matches_oracle(candidates, terminal, expected_order, ranking)
+            assert_matches_oracle(terminal, expected_order)
         for merger, interval, handle, terminal in recorder.sharded:
             expected_order = merged_oracle(merger, interval, handle)
-            assert_matches_oracle(merger, terminal, expected_order, ranking)
+            assert_matches_oracle(terminal, expected_order)
         if factor == 12:
             # |Q(D)| <= 12 |D| here: the first interval is already terminal.
             assert recorder.serial or recorder.sharded
@@ -235,9 +234,9 @@ def test_deep_path_terminal_does_not_recurse():
     sys.setrecursionlimit(200)
     try:
         terminal = candidates.terminal(WeightInterval(), (query, db))
-        picked = [candidates.pick(terminal, position) for position in range(len(terminal))]
+        picked = [terminal.assignment(position) for position in range(len(terminal))]
     finally:
         sys.setrecursionlimit(limit)
     assert tree is candidates.tree_cache.get(query, db)
-    assert [weight for weight, _ in picked] == [0.0, 2.0]
-    assert all(value == 1 for value in picked[1][1].values())
+    assert [ranking.weight_of(answer) for answer in picked] == [0.0, 2.0]
+    assert all(value == 1 for value in picked[1].values())

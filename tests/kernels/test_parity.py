@@ -251,7 +251,7 @@ class TestNumpyConversionCache:
         from repro.kernels import numpy_backend
 
         backend = create_backend("numpy")
-        n = numpy_backend._CACHE_MAX_INPUT
+        n = numpy_backend._CACHE_CAPACITY // 3
         columns = [[float(i + j) for i in range(n)] for j in range(12)]
         for column in columns:
             backend.argsort(column)
